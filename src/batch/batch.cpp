@@ -15,54 +15,12 @@ using Img = sim::CompiledSystem;
 
 namespace {
 
-// fixpt::quantize with the Format-derived constants hoisted out of the lane
-// loop. fixpt::quantize recomputes its scale and clamp bounds from the Format
-// on every call, which dominates cast/commit-heavy tapes; here they are
-// computed once per instruction. Scaling by an exact power of two and the
-// identical round/floor + clamp sequence keeps every lane bit-identical to
-// the scalar path (clamping an in-range mantissa is a no-op, and min/max
-// propagate NaN exactly like the original range test). The two's-complement
-// wrap case keeps the library call — it needs fmod and is rare in practice.
-struct QuantSpec {
-  double scale, inv_scale, hi, lo;
-  bool round, saturate;
-  explicit QuantSpec(const fixpt::Format& f)
-      : scale(std::ldexp(1.0, f.frac_bits())),
-        inv_scale(std::ldexp(1.0, -f.frac_bits())),
-        hi(std::ldexp(f.max_value(), f.frac_bits())),
-        lo(std::ldexp(f.min_value(), f.frac_bits())),
-        round(f.quant == fixpt::Quant::kRound),
-        saturate(f.ovf == fixpt::Overflow::kSaturate) {}
-};
-
-inline double quantize_one(double v, const QuantSpec& q,
-                           const fixpt::Format& fmt) {
-  if (!q.saturate) return fixpt::quantize(v, fmt);
-  double m = q.round ? std::round(v * q.scale) : std::floor(v * q.scale);
-  m = std::min(std::max(m, q.lo), q.hi);
-  return m * q.inv_scale;
-}
-
+// One precomputed quantizer (built at compile time) over the lane vector:
+// the same fast path the scalar tape runs, so every lane stays
+// bit-identical to it.
 void quantize_lanes(double* d, const double* a, unsigned L,
-                    const fixpt::Format& fmt) {
-  const QuantSpec q(fmt);
-  if (!q.saturate) {
-    for (unsigned l = 0; l < L; ++l) d[l] = fixpt::quantize(a[l], fmt);
-    return;
-  }
-  if (q.round) {
-    for (unsigned l = 0; l < L; ++l) {
-      double m = std::round(a[l] * q.scale);
-      m = std::min(std::max(m, q.lo), q.hi);
-      d[l] = m * q.inv_scale;
-    }
-  } else {
-    for (unsigned l = 0; l < L; ++l) {
-      double m = std::floor(a[l] * q.scale);
-      m = std::min(std::max(m, q.lo), q.hi);
-      d[l] = m * q.inv_scale;
-    }
-  }
+                    const fixpt::Quantizer& q) {
+  for (unsigned l = 0; l < L; ++l) d[l] = q(a[l]);
 }
 
 }  // namespace
@@ -117,7 +75,7 @@ void BatchedSystem::exec_lanes(const sim::Tape& tape) {
     const double* a = lane_base(i.a);
     if (i.op == sfg::Op::kCount) {  // plain / quantized copy
       if (i.quant) {
-        quantize_lanes(d, a, L, i.fmt);
+        quantize_lanes(d, a, L, img_.quants_[static_cast<std::size_t>(i.q)]);
       } else {
         for (unsigned l = 0; l < L; ++l) d[l] = a[l];
       }
@@ -142,7 +100,7 @@ void BatchedSystem::exec_lanes(const sim::Tape& tape) {
         for (unsigned l = 0; l < L; ++l) d[l] = a[l] != 0.0 ? b[l] : c[l];
         break;
       case sfg::Op::kCast:
-        quantize_lanes(d, a, L, i.fmt);
+        quantize_lanes(d, a, L, img_.quants_[static_cast<std::size_t>(i.q)]);
         break;
       default:
         for (unsigned l = 0; l < L; ++l) {
@@ -206,15 +164,16 @@ void BatchedSystem::commit_lanes(std::int32_t id,
   for (const auto& cm : img_.sfgs_[static_cast<std::size_t>(id)].commits) {
     double* dst = lane_base(cm.dst);
     const double* src = lane_base(cm.src);
+    const fixpt::Quantizer* q =
+        cm.has_fmt ? &img_.quants_[static_cast<std::size_t>(cm.q)] : nullptr;
     if (group.size() == L) {
-      if (cm.has_fmt) {
-        quantize_lanes(dst, src, L, cm.fmt);
+      if (q != nullptr) {
+        quantize_lanes(dst, src, L, *q);
       } else {
         for (unsigned l = 0; l < L; ++l) dst[l] = src[l];
       }
-    } else if (cm.has_fmt) {
-      const QuantSpec q(cm.fmt);
-      for (const unsigned l : group) dst[l] = quantize_one(src[l], q, cm.fmt);
+    } else if (q != nullptr) {
+      for (const unsigned l : group) dst[l] = (*q)(src[l]);
     } else {
       for (const unsigned l : group) dst[l] = src[l];
     }
@@ -328,9 +287,7 @@ bool BatchedSystem::fire_lanes(std::int32_t ci) {
       for (unsigned l = 0; l < L; ++l) {
         if (fired[l] != 0 || selected_[base + l] >= 0 || itok[l] == 0) continue;
         const long opcode = std::lround(ival[l]);
-        const auto it = c.table.find(opcode);
-        const std::int32_t sel =
-            (it != c.table.end()) ? it->second : c.default_sfg;
+        const std::int32_t sel = Img::decode(c, opcode);
         if (sel < 0) {
           throw std::logic_error("BatchedSystem '" + c.name +
                                  "': unknown opcode " + std::to_string(opcode) +

@@ -68,9 +68,9 @@ class BatchedSystem {
   void cycle();
 
   /// Simulate per `opts`: cycle count, watchdogs, schedule mode, hooks —
-  /// the unified entry point shared with the other engines. `nthreads`
-  /// and `profile` are accepted but inert (the lane loop IS the
-  /// parallelism). RunResult::firings counts per-lane component firings.
+  /// the unified entry point shared with the other engines. `profile` is
+  /// accepted but inert. RunResult::firings counts per-lane component
+  /// firings.
   RunResult run(const RunOptions& opts);
 
   unsigned lanes() const { return lanes_; }

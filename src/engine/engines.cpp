@@ -84,7 +84,6 @@ class SchedInstance : public Instance {
   void poke(const std::string& n, double v) override {
     s_->net(n).drive(fixpt::Fixed(v));
   }
-  void set_threads(unsigned n) override { s_->set_threads(n); }
   bool save_state(std::ostream& os) override {
     s_->save_state(os);
     return true;
@@ -104,7 +103,6 @@ class InterpretedEngine : public Engine {
   InterpretedEngine(std::string name, ScheduleMode mode)
       : name_(std::move(name)), mode_(mode) {
     caps_.checkpointable = true;
-    caps_.threadable = true;
     caps_.pass_aware = true;
     // Only the iterative engine contributes a passes-off replay: with the
     // pipeline disabled the scheduler falls back to the recursive graph
@@ -151,7 +149,6 @@ class TapeInstance : public Instance {
     cs_.poke(n, v);
     if (sched_ != nullptr) sched_->net(n).drive(fixpt::Fixed(v));
   }
-  void set_threads(unsigned n) override { cs_.set_threads(n); }
   bool save_state(std::ostream& os) override {
     cs_.save_state(os);
     return true;
@@ -171,7 +168,6 @@ class CompiledEngine : public Engine {
  public:
   CompiledEngine() {
     caps_.checkpointable = true;
-    caps_.threadable = true;
     caps_.pass_aware = true;
     caps_.pass_axis = true;  // passes-off replay uses the raw tape
     caps_.in_process = true;
@@ -224,7 +220,6 @@ class JitInstance : public Instance {
     js_.poke(n, v);
     if (sched_ != nullptr) sched_->net(n).drive(fixpt::Fixed(v));
   }
-  void set_threads(unsigned n) override { js_.set_threads(n); }
   bool save_state(std::ostream& os) override {
     js_.save_state(os);
     return true;
@@ -246,7 +241,6 @@ class JitEngine : public Engine {
  public:
   JitEngine() {
     caps_.checkpointable = true;  // shares the compiled tape's ckpt format
-    caps_.threadable = true;
     caps_.pass_aware = true;
     // No passes-off replay of its own: the raw tape is already covered by
     // the compiled engine, and a second host-compiler run per spec would

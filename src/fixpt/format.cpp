@@ -1,5 +1,6 @@
 #include "fixpt/format.h"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -25,25 +26,27 @@ std::string Format::to_string() const {
   return os.str();
 }
 
-double quantize(double v, const Format& f) {
-  const double scaled = std::ldexp(v, f.frac_bits());
-  double mant = (f.quant == Quant::kRound) ? std::round(scaled)
-                                           : std::floor(scaled);
-  const double hi = std::ldexp(f.max_value(), f.frac_bits());
-  const double lo = std::ldexp(f.min_value(), f.frac_bits());
-  if (mant > hi || mant < lo) {
-    if (f.ovf == Overflow::kSaturate) {
-      mant = (mant > hi) ? hi : lo;
-    } else {
-      // Two's-complement wraparound: fold the mantissa into [lo, hi].
-      const double span = std::ldexp(1.0, f.wl);
-      mant = std::fmod(mant - lo, span);
-      if (mant < 0) mant += span;
-      mant += lo;
-    }
-  }
-  return std::ldexp(mant, -f.frac_bits());
+namespace {
+
+// 2^k, exact: built from the exponent bits in the normal range, which is
+// every format a design uses; ldexp covers the rest.
+double pow2(int k) {
+  if (k < -1022 || k > 1023) return std::ldexp(1.0, k);
+  return std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
 }
+
+}  // namespace
+
+Quantizer::Quantizer(const Format& f)
+    : scale_(pow2(f.frac_bits())),
+      inv_scale_(pow2(-f.frac_bits())),
+      hi_(pow2(f.wl - (f.is_signed ? 1 : 0)) - 1.0),
+      lo_(f.is_signed ? -pow2(f.wl - 1) : 0.0),
+      span_(pow2(f.wl)),
+      round_(f.quant == Quant::kRound),
+      saturate_(f.ovf == Overflow::kSaturate) {}
+
+double quantize(double v, const Format& f) { return Quantizer(f)(v); }
 
 bool representable(double v, const Format& f) { return quantize(v, f) == v; }
 

@@ -8,6 +8,8 @@
 // rounding / overflow disciplines.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -51,7 +53,44 @@ struct Format {
   std::string to_string() const;
 };
 
-/// Quantize `v` into format `f` (rounding, then overflow handling).
+/// Quantization into one Format with every Format-derived constant computed
+/// once: the mantissa scale and its inverse, the mantissa bounds and the
+/// wrap span. The compiled engines build one per distinct format at compile
+/// time (casts, quantized input loads, register commits) and call it per
+/// value.
+///
+/// Round or floor the scaled value, clamp or wrap the mantissa into
+/// [lo, hi], scale back. Scaling by a power of two is exact, so the result
+/// is bit-identical to doing the same steps with ldexp, for every format
+/// whose lsb and extreme values are finite normal doubles (|frac_bits| + wl
+/// below ~1000). NaN passes through; +-inf saturates, and wraps to NaN.
+class Quantizer {
+ public:
+  explicit Quantizer(const Format& f);
+
+  double operator()(double v) const {
+    double m = round_ ? std::round(v * scale_) : std::floor(v * scale_);
+    if (saturate_) {
+      // Branch-free clamp; NaN stays NaN, as it fails both range tests.
+      m = std::min(std::max(m, lo_), hi_);
+    } else if (m > hi_ || m < lo_) {
+      // Two's-complement wraparound: fold the mantissa into [lo, hi].
+      m = std::fmod(m - lo_, span_);
+      if (m < 0) m += span_;
+      m += lo_;
+    }
+    return m * inv_scale_;
+  }
+
+ private:
+  double scale_, inv_scale_;  ///< 2^frac_bits and its inverse
+  double hi_, lo_;            ///< mantissa bounds
+  double span_;               ///< 2^wl, the wrap modulus
+  bool round_, saturate_;
+};
+
+/// Quantize `v` into format `f` (rounding, then overflow handling): the one
+/// definition, `Quantizer(f)(v)`.
 double quantize(double v, const Format& f);
 
 /// True when `v` is exactly representable in `f`.

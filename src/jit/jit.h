@@ -28,9 +28,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,7 +46,7 @@ namespace asicpp::jit {
 inline constexpr std::uint32_t kJitFormatVersion = 1;
 /// ABI revision of the state struct / exported symbols; the loaded object
 /// must report the same value.
-inline constexpr std::uint32_t kJitAbi = 1;
+inline constexpr std::uint32_t kJitAbi = 2;
 
 /// The state block handed to every generated function. Mirrored textually
 /// in the emitted source; any change here bumps kJitAbi.
@@ -99,7 +99,7 @@ class JitSystem {
   void cycle();
 
   /// Unified engine entry point: cycles, watchdogs, schedule mode,
-  /// threads, checkpoint cadence — same contract as CompiledSystem::run.
+  /// checkpoint cadence — same contract as CompiledSystem::run.
   RunResult run(const RunOptions& opts);
 
   std::uint64_t cycles() const { return cs_.cycles(); }
@@ -122,8 +122,6 @@ class JitSystem {
     cs_.set_schedule_mode(m);
   }
   ScheduleMode schedule_mode() const { return mode_; }
-  void set_threads(unsigned n);
-  unsigned threads() const { return threads_; }
   void attach_diagnostics(diag::DiagEngine& de) { cs_.attach_diagnostics(de); }
   diag::DiagEngine& diagnostics() { return cs_.diagnostics(); }
   const opt::PassStats& pass_stats() const { return cs_.pass_stats(); }
@@ -167,16 +165,11 @@ class JitSystem {
   double compile_seconds_ = 0.0;
   std::string artifact_path_;
   std::shared_ptr<void> so_;  ///< dlopen handle (dlclose on last owner)
-  // Exported entry points of the loaded object.
+  /// The loaded object's cycle entry point.
   int (*fn_cycle_)(JitState*, int) = nullptr;
-  void (*fn_begin_)(JitState*) = nullptr;
-  int (*fn_try_slot_)(JitState*, int) = nullptr;
-  int (*fn_finish_)(JitState*) = nullptr;
 
   ScheduleMode mode_ = ScheduleMode::kAuto;
-  unsigned threads_ = 1;
   std::exception_ptr untimed_ex_;
-  std::shared_ptr<std::mutex> ex_mu_;  ///< guards untimed_ex_ under threads
 };
 
 /// Resolve the artifact-store directory per JitOptions::cache_dir rules —

@@ -3,9 +3,10 @@
 // The compiled simulator exists to make cycle-true simulation "fast enough
 // to explore the design space" (paper, section 4); on a modern host that
 // also means using every core. This module is the one place threads are
-// created: a small work-stealing pool shared by the level-parallel cycle
-// engines (sched/cyclesched, sim/compiled), the batched differential
-// driver (verify/diffrun), and the fuzzer front end (tools/asicpp-fuzz).
+// created: a small work-stealing pool shared by the seed-parallel
+// differential driver (verify/diffrun, verify/shrink) and the fuzzer front
+// end (tools/asicpp-fuzz). The unit of parallel work is a whole seed;
+// single simulation cycles are too fine-grained to pay for a barrier.
 //
 // Design rules, in priority order:
 //
@@ -19,8 +20,8 @@
 //      may run on a worker lane (the shrinker inside a fuzz worker) check
 //      Pool::in_parallel_region() and take their serial path, which is
 //      required to be behaviourally identical.
-//   3. Explicit sharing. Anything mutated inside a region is either
-//      per-task (slots, per-worker DiagEngine sinks) or a RelaxedCounter.
+//   3. Explicit sharing. Anything mutated inside a region is per-task
+//      (result slots, per-worker DiagEngine sinks).
 //      Cross-thread misuse of single-owner objects trips PAR-002 (see
 //      diag::DiagEngine, sim::Recorder).
 //
@@ -40,26 +41,6 @@
 #include <vector>
 
 namespace asicpp::par {
-
-/// Monotonic counter safe to bump from inside a parallel region without
-/// ordering cost, and copyable so owners (e.g. sim::CompiledSystem) keep
-/// their value semantics. Reads are relaxed: callers synchronize via the
-/// region join, which happens-before any get() after parallel_for returns.
-class RelaxedCounter {
- public:
-  RelaxedCounter(std::uint64_t v = 0) : v_(v) {}
-  RelaxedCounter(const RelaxedCounter& o)
-      : v_(o.v_.load(std::memory_order_relaxed)) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.v_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
-  void add(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::uint64_t get() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_;
-};
 
 /// A fixed set of execution lanes: the calling thread plus lanes()-1
 /// persistent helper threads. Work is distributed as index chunks over

@@ -126,41 +126,8 @@ CycleScheduler::CycleStats CycleScheduler::cycle() {
       sched002_reported_ = true;
     }
     if (schedule_.valid() && schedule_failures_ < 2) {
-      // Level-parallel walk: partition each level across the pool with a
-      // barrier per level. Actions within one level read nets of earlier
-      // levels and write disjoint nets, so the result is bit-identical to
-      // the serial walk. Profiled runs keep the serial walk (the timing
-      // map is single-owner), as does a scheduler already running on a
-      // pool lane (no nested regions).
-      const bool par_walk = threads_ > 1 && !profile_ &&
-                            !par::Pool::in_parallel_region();
-      if (par_walk) {
-        const auto& order = schedule_.order();
-        const auto& offs = schedule_.level_offsets();
-        std::atomic<int> fired{0};
-        for (std::size_t l = 0; l + 1 < offs.size(); ++l) {
-          const std::size_t b = offs[l], e = offs[l + 1];
-          if (e - b < kMinParallelWidth) {
-            for (std::size_t i = b; i < e; ++i) {
-              if (!order[i].comp->done() && order[i].comp->try_fire(stamp))
-                fired.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else {
-            par::Pool::shared().parallel_for(
-                e - b,
-                [&](std::size_t k) {
-                  Component* c = order[b + k].comp;
-                  if (!c->done() && c->try_fire(stamp))
-                    fired.fetch_add(1, std::memory_order_relaxed);
-                },
-                threads_);
-          }
-        }
-        stats.fired_components += fired.load(std::memory_order_relaxed);
-      } else {
-        for (const auto& slot : schedule_.order()) {
-          if (!slot.comp->done() && fire(slot.comp)) ++stats.fired_components;
-        }
+      for (const auto& slot : schedule_.order()) {
+        if (!slot.comp->done() && fire(slot.comp)) ++stats.fired_components;
       }
       ++stats.eval_iterations;
       need_iterative = false;
@@ -251,17 +218,14 @@ RunResult CycleScheduler::run(const RunOptions& opts) {
     CycleScheduler* s;
     diag::DiagEngine* diag;
     ScheduleMode mode;
-    unsigned threads;
     ~Restore() {
       s->diag_ = diag;
       s->mode_ = mode;
-      s->threads_ = threads;
       s->profile_ = false;
     }
-  } restore{this, diag_, mode_, threads_};
+  } restore{this, diag_, mode_};
   if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
   mode_ = opts.schedule;
-  set_threads(opts.nthreads);
   profile_ = opts.profile;
   prof_.clear();
   set_pass_options(opts.passes);

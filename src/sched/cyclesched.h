@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "diag/diag.h"
-#include "par/pool.h"
 #include "sched/component.h"
 #include "sched/net.h"
 #include "sched/run.h"
@@ -90,19 +89,6 @@ class CycleScheduler {
   /// Phase-2 evaluation order policy for cycle() calls outside run().
   void set_schedule_mode(ScheduleMode m) { mode_ = m; }
   ScheduleMode schedule_mode() const { return mode_; }
-
-  /// Worker lanes for the level-parallel phase-2 walk, for cycle() calls
-  /// outside run() (see RunOptions::nthreads; 1 = serial, 0 = hardware).
-  /// Results are bit-identical to serial execution: only levelized cycles
-  /// parallelize and actions within one level touch disjoint nets.
-  void set_threads(unsigned n) {
-    threads_ = n == 0 ? par::Pool::hardware_lanes() : n;
-  }
-  unsigned threads() const { return threads_; }
-
-  /// Levels at least this wide are partitioned across the pool; narrower
-  /// ones run serially (the barrier would cost more than it buys).
-  static constexpr std::size_t kMinParallelWidth = 4;
 
   /// The levelized schedule, rebuilt lazily after structural changes.
   /// invalid() when the system cannot be statically ordered.
@@ -188,7 +174,6 @@ class CycleScheduler {
   diag::DiagEngine own_diag_;
   bool watchdog_tripped_ = false;
   ScheduleMode mode_ = ScheduleMode::kAuto;
-  unsigned threads_ = 1;
   Schedule schedule_;
   bool schedule_stale_ = true;
   int schedule_failures_ = 0;   // consecutive walk misses; >= 2 disables the walk

@@ -58,14 +58,6 @@ struct RunOptions {
   double wall_clock_s = 0.0;
   /// Phase-2 evaluation order policy (cycle engines).
   ScheduleMode schedule = ScheduleMode::kAuto;
-  /// Worker lanes for the level-parallel phase-2 walk (cycle engines):
-  /// each level of the static schedule is partitioned across this many
-  /// threads with a barrier per level. 1 = serial (the default), 0 = one
-  /// lane per hardware thread. Only levelized cycles parallelize — the
-  /// iterative fallback, profiled runs, and levels narrower than the width
-  /// threshold stay serial — and results are bit-identical to serial runs
-  /// (actions within a level touch disjoint nets by construction).
-  unsigned nthreads = 1;
   /// Collect per-component firing counts and wall time into
   /// RunResult::timing (adds two clock reads per firing).
   bool profile = false;
@@ -93,7 +85,6 @@ struct RunOptions {
   RunOptions& budget(std::uint64_t total_cycles) { cycle_budget = total_cycles; return *this; }
   RunOptions& within(double seconds) { wall_clock_s = seconds; return *this; }
   RunOptions& mode(ScheduleMode m) { schedule = m; return *this; }
-  RunOptions& threads(unsigned n) { nthreads = n; return *this; }
   RunOptions& profiled(bool on = true) { profile = on; return *this; }
   RunOptions& into(diag::DiagEngine& de) { diagnostics = &de; return *this; }
   RunOptions& on_cycle(std::function<void(std::uint64_t)> cb) {

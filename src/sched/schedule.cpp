@@ -150,10 +150,6 @@ Schedule Schedule::build(const std::vector<Component*>& comps) {
     s.order_.push_back(Slot{act_comp[i], levels[i]});
     s.levels_ = std::max(s.levels_, levels[i] + 1);
   }
-  s.offsets_.assign(static_cast<std::size_t>(s.levels_) + 1, s.order_.size());
-  for (std::size_t i = s.order_.size(); i-- > 0;)
-    s.offsets_[static_cast<std::size_t>(s.order_[i].level)] = i;
-  s.offsets_[0] = 0;
   s.valid_ = true;
   return s;
 }

@@ -67,11 +67,6 @@ class Schedule {
   const std::vector<Slot>& order() const { return order_; }
   int levels() const { return levels_; }
 
-  /// Group boundaries of order() by level: level l spans order() indices
-  /// [offsets[l], offsets[l+1]). Size levels()+1; the level-parallel walk
-  /// partitions each span across worker lanes with a barrier per level.
-  const std::vector<std::size_t>& level_offsets() const { return offsets_; }
-
   /// Number of components the schedule was built for (staleness check).
   std::size_t component_count() const { return ncomps_; }
 
@@ -79,7 +74,6 @@ class Schedule {
   bool valid_ = false;
   std::string reason_;
   std::vector<Slot> order_;
-  std::vector<std::size_t> offsets_;
   int levels_ = 0;
   std::size_t ncomps_ = 0;
 };

@@ -61,11 +61,16 @@ struct Service::Session {
   std::uint64_t cycle = 0;
   /// One probe row (watch order) per simulated cycle — the trace stream.
   std::vector<std::vector<double>> rows;
+  /// Pin drives in force: the last value poked into each net. Engine
+  /// snapshots do not carry them all (a compiled image refreshes pins from
+  /// its design every cycle), so a fork re-applies them.
+  std::map<std::string, double> drives;
 
   struct Ckpt {
     std::string blob;
     std::uint64_t cycle = 0;
     std::vector<std::vector<double>> rows;
+    std::map<std::string, double> drives;
   };
   std::map<std::string, Ckpt> ckpts;
 };
@@ -206,10 +211,8 @@ Json Service::op_run(const Json& req) {
   const std::lock_guard<std::mutex> lock(sess->mu);
 
   const auto cycles = static_cast<std::uint64_t>(req.get_number("cycles", 1));
-  const auto threads = static_cast<unsigned>(req.get_number("threads", 0));
   engine::Instance& inst = *sess->compiled.instance;
   try {
-    if (threads > 0) inst.set_threads(threads);
     for (std::uint64_t c = 0; c < cycles; ++c) {
       inst.cycle();
       std::vector<double> row;
@@ -235,11 +238,13 @@ Json Service::op_poke(const Json& req) {
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
   const std::string net = req.get_string("net");
+  const double value = req.get_number("value");
   try {
-    sess->compiled.instance->poke(net, req.get_number("value"));
+    sess->compiled.instance->poke(net, value);
   } catch (const std::exception& ex) {
     return error_json(ex.what());
   }
+  sess->drives[net] = value;
   return ok_json();
 }
 
@@ -293,6 +298,7 @@ Json Service::op_checkpoint(const Json& req) {
   ck.blob = os.str();
   ck.cycle = sess->cycle;
   ck.rows = sess->rows;
+  ck.drives = sess->drives;
   sess->ckpts[name] = std::move(ck);
   Json j = ok_json();
   j.set("name", Json::string(name));
@@ -340,11 +346,13 @@ Json Service::op_fork(const Json& req) {
     if (!child->compiled.instance->restore_state(is))
       return error_json("engine '" + child->compiled.engine +
                         "' has no in-process snapshot surface");
+    for (const auto& [net, v] : ck.drives) child->compiled.instance->poke(net, v);
   } catch (const std::exception& ex) {
     return error_json(ex.what());
   }
   child->cycle = ck.cycle;
   child->rows = std::move(ck.rows);
+  child->drives = std::move(ck.drives);
 
   std::string id;
   {

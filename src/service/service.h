@@ -6,8 +6,7 @@
 // a `Session` owns one live engine instance produced by the compile
 // pipeline (pipeline/pipeline.h) and supports
 //
-//   run         advance N cycles (optionally on M worker threads — the
-//               level-parallel phase-2 walk rides the shared par::Pool)
+//   run         advance N cycles
 //   poke        drive an external input net
 //   probe       read one net's last value
 //   trace       stream the probe-row history since a cycle (delta reads)
@@ -28,7 +27,7 @@
 //   {"op":"open","engine":"jit","spec":"spec wl=...\n..."}
 //   {"op":"open","engine":"compiled","design":"quickstart","watch":["y"]}
 //       -> {"ok":true,"session":"s1","probes":[...],"store_hit":false,...}
-//   {"op":"run","session":"s1","cycles":16,"threads":2}
+//   {"op":"run","session":"s1","cycles":16}
 //       -> {"ok":true,"cycle":16}
 //   {"op":"poke","session":"s1","net":"x","value":1.5}  -> {"ok":true}
 //   {"op":"probe","session":"s1","net":"y"}   -> {"ok":true,"value":0.5}

@@ -33,8 +33,10 @@ class CompiledSystem::Builder {
   /// node's persistent slot (pass-created constants get a fresh slot
   /// pre-initialized to their value), interiors get fresh scratch slots.
   std::vector<std::int32_t> map_slots(const opt::LoweredSfg& l);
-  static Instr emit_ins(const opt::LoweredSfg& l, std::size_t idx,
-                        const std::vector<std::int32_t>& g);
+  /// Index of `f`'s quantizer in sys_.quants_, built on first use.
+  std::int32_t quantizer(const fixpt::Format& f);
+  Instr emit_ins(const opt::LoweredSfg& l, std::size_t idx,
+                 const std::vector<std::int32_t>& g);
   std::int32_t compile_expr(const NodePtr& n, Tape& tape);
   std::int32_t net_id(const sched::Net* n) const;
   std::int32_t compile_sfg(sfg::Sfg& s, const sched::TimedBase& comp,
@@ -44,7 +46,17 @@ class CompiledSystem::Builder {
   opt::PassOptions popts_;
   std::unordered_map<const Node*, std::int32_t> slots_;
   std::unordered_map<const sched::Net*, std::int32_t> net_map_;
+  std::vector<fixpt::Format> quant_fmts_;  ///< format of each sys_.quants_ entry
 };
+
+std::int32_t CompiledSystem::Builder::quantizer(const fixpt::Format& f) {
+  const auto it = std::find(quant_fmts_.begin(), quant_fmts_.end(), f);
+  if (it != quant_fmts_.end())
+    return static_cast<std::int32_t>(it - quant_fmts_.begin());
+  quant_fmts_.push_back(f);
+  sys_.quants_.emplace_back(f);
+  return static_cast<std::int32_t>(sys_.quants_.size() - 1);
+}
 
 std::int32_t CompiledSystem::Builder::slot_of(const NodePtr& n) {
   const auto it = slots_.find(n.get());
@@ -88,7 +100,9 @@ Instr CompiledSystem::Builder::emit_ins(const opt::LoweredSfg& l,
   const auto arg = [&](std::int32_t s) {
     return s >= 0 ? g[static_cast<std::size_t>(s)] : -1;
   };
-  return Instr::apply(i.op, g[idx], arg(i.a), arg(i.b), arg(i.c), i.fmt);
+  Instr ins = Instr::apply(i.op, g[idx], arg(i.a), arg(i.b), arg(i.c), i.fmt);
+  if (i.op == Op::kCast) ins.q = quantizer(i.fmt);
+  return ins;
 }
 
 std::int32_t CompiledSystem::Builder::compile_expr(const NodePtr& n, Tape& tape) {
@@ -137,9 +151,12 @@ std::int32_t CompiledSystem::Builder::compile_sfg(
       bound = true;
       const auto net_slot =
           sys_.net_slots_[static_cast<std::size_t>(net_id(b.net))];
-      code.load_inputs.push_back(in->has_fmt
-                                     ? Instr::copy_q(in_slot, net_slot, in->fmt)
-                                     : Instr::copy(in_slot, net_slot));
+      if (in->has_fmt) {
+        code.load_inputs.push_back(Instr::copy_q(in_slot, net_slot, in->fmt));
+        code.load_inputs.back().q = quantizer(in->fmt);
+      } else {
+        code.load_inputs.push_back(Instr::copy(in_slot, net_slot));
+      }
       code.required_nets.push_back(net_id(b.net));
     }
     if (!bound) sys_.refresh_.push_back(InputRefresh{in, in_slot});
@@ -166,9 +183,9 @@ std::int32_t CompiledSystem::Builder::compile_sfg(
   }
 
   for (const auto& a : l.assigns) {
-    code.commits.push_back(SfgCode::Commit{slot_of(a.reg),
-                                           g[static_cast<std::size_t>(a.slot)],
-                                           a.reg->fmt, a.reg->has_fmt});
+    code.commits.push_back(SfgCode::Commit{
+        slot_of(a.reg), g[static_cast<std::size_t>(a.slot)], a.reg->fmt,
+        a.reg->has_fmt, a.reg->has_fmt ? quantizer(a.reg->fmt) : -1});
   }
 
   const auto id = static_cast<std::int32_t>(sys_.sfgs_.size());
@@ -223,6 +240,18 @@ void CompiledSystem::Builder::build(const sched::CycleScheduler& sched) {
         comp.table.emplace(opcode, compile_sfg(*g, *d, local));
       if (d->default_instruction() != nullptr)
         comp.default_sfg = compile_sfg(*d->default_instruction(), *d, local);
+      if (!comp.table.empty()) {
+        const long lo = comp.table.begin()->first;
+        const long hi = comp.table.rbegin()->first;
+        // Unsigned span: hi - lo may overflow a long.
+        if (static_cast<unsigned long>(hi) - static_cast<unsigned long>(lo) <
+            static_cast<unsigned long>(kDenseDecodeLimit)) {
+          comp.dense_lo = lo;
+          comp.dense.assign(static_cast<std::size_t>(hi - lo) + 1, comp.default_sfg);
+          for (const auto& [opcode, id] : comp.table)
+            comp.dense[static_cast<std::size_t>(opcode - lo)] = id;
+        }
+      }
     } else if (auto* u = dynamic_cast<sched::UntimedComponent*>(c)) {
       comp.kind = Kind::kUntimed;
       comp.untimed = u;
@@ -344,11 +373,6 @@ void CompiledSystem::build_schedule() {
                                      act[static_cast<std::size_t>(i)].second, levels[i]});
     sched_levels_ = std::max(sched_levels_, levels[i] + 1);
   }
-  level_offsets_.assign(static_cast<std::size_t>(sched_levels_) + 1,
-                        level_order_.size());
-  for (std::size_t i = level_order_.size(); i-- > 0;)
-    level_offsets_[static_cast<std::size_t>(level_order_[i].level)] = i;
-  if (!level_offsets_.empty()) level_offsets_[0] = 0;
   levelizable_ = true;
 }
 
@@ -486,8 +510,8 @@ diag::Diagnostic CompiledSystem::deadlock_postmortem() const {
 
 void CompiledSystem::run_sfg_pre(std::int32_t id) {
   SfgCode& s = sfgs_[static_cast<std::size_t>(id)];
-  exec(s.pre, slots_.data());
-  ops_.add(s.pre.size());
+  exec(s.pre, slots_.data(), quants_.data());
+  ops_ += s.pre.size();
   for (const auto& p : s.pre_pushes) {
     slots_[static_cast<std::size_t>(net_slots_[static_cast<std::size_t>(p.net)])] =
         slots_[static_cast<std::size_t>(p.src)];
@@ -500,9 +524,9 @@ bool CompiledSystem::run_sfg_main(std::int32_t id) {
   for (const auto n : s.required_nets) {
     if (!net_token_[static_cast<std::size_t>(n)]) return false;
   }
-  exec(s.load_inputs, slots_.data());
-  exec(s.main, slots_.data());
-  ops_.add(s.load_inputs.size() + s.main.size());
+  exec(s.load_inputs, slots_.data(), quants_.data());
+  exec(s.main, slots_.data(), quants_.data());
+  ops_ += s.load_inputs.size() + s.main.size();
   for (const auto& p : s.main_pushes) {
     slots_[static_cast<std::size_t>(net_slots_[static_cast<std::size_t>(p.net)])] =
         slots_[static_cast<std::size_t>(p.src)];
@@ -538,8 +562,7 @@ bool CompiledSystem::comp_try_fire(Comp& c) {
         const double v =
             slots_[static_cast<std::size_t>(net_slots_[static_cast<std::size_t>(c.instr_net)])];
         const long opcode = std::lround(v);
-        const auto it = c.table.find(opcode);
-        c.selected = (it != c.table.end()) ? it->second : c.default_sfg;
+        c.selected = decode(c, opcode);
         if (c.selected < 0)
           throw std::logic_error("CompiledSystem '" + c.name + "': unknown opcode " +
                                  std::to_string(opcode) + " and no default");
@@ -556,24 +579,39 @@ bool CompiledSystem::comp_try_fire(Comp& c) {
       if (c.fired) return false;
       for (const auto n : c.in_nets)
         if (!net_token_[static_cast<std::size_t>(n)]) return false;
-      std::vector<fixpt::Fixed> in;
-      in.reserve(c.in_nets.size());
-      for (const auto n : c.in_nets)
-        in.emplace_back(
-            slots_[static_cast<std::size_t>(net_slots_[static_cast<std::size_t>(n)])]);
-      const auto out = c.untimed->invoke(in);
-      if (out.size() != c.out_nets.size())
-        throw std::logic_error("CompiledSystem '" + c.name + "': untimed arity mismatch");
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const auto n = static_cast<std::size_t>(c.out_nets[i]);
-        slots_[static_cast<std::size_t>(net_slots_[n])] = out[i].value();
-        net_token_[n] = 1;
-      }
+      fire_untimed(c, "CompiledSystem");
       c.fired = true;
       return true;
     }
   }
   return false;
+}
+
+std::int32_t CompiledSystem::decode(const Comp& c, long opcode) {
+  if (!c.dense.empty()) {
+    // Unsigned offset: opcodes below dense_lo wrap past the end.
+    const auto k = static_cast<unsigned long>(opcode) -
+                   static_cast<unsigned long>(c.dense_lo);
+    return k < c.dense.size() ? c.dense[k] : c.default_sfg;
+  }
+  const auto it = c.table.find(opcode);
+  return it != c.table.end() ? it->second : c.default_sfg;
+}
+
+void CompiledSystem::fire_untimed(Comp& c, const char* engine) {
+  c.in_buf.clear();
+  for (const auto n : c.in_nets)
+    c.in_buf.emplace_back(
+        slots_[static_cast<std::size_t>(net_slots_[static_cast<std::size_t>(n)])]);
+  const auto out = c.untimed->invoke(c.in_buf);
+  if (out.size() != c.out_nets.size())
+    throw std::logic_error(std::string(engine) + " '" + c.name +
+                           "': untimed arity mismatch");
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto n = static_cast<std::size_t>(c.out_nets[i]);
+    slots_[static_cast<std::size_t>(net_slots_[n])] = out[i].value();
+    net_token_[n] = 1;
+  }
 }
 
 void CompiledSystem::cycle() {
@@ -601,8 +639,8 @@ void CompiledSystem::cycle() {
           c.pending = &gt;
           break;
         }
-        exec(gt.guard, slots_.data());
-        ops_.add(gt.guard.size());
+        exec(gt.guard, slots_.data(), quants_.data());
+        ops_ += gt.guard.size();
         if (slots_[static_cast<std::size_t>(gt.guard_slot)] != 0.0) {
           c.pending = &gt;
           break;
@@ -638,37 +676,9 @@ void CompiledSystem::cycle() {
   bool need_iterative = true;
   bool walk_missed = false;
   if (mode_ != ScheduleMode::kIterative && levelizable_ && sched_failures_ < 2) {
-    // Level-parallel walk: partition each level across the pool with a
-    // barrier per level. Tapes within one level read slots written by
-    // earlier levels and push disjoint nets, so the result is bit-identical
-    // to the serial walk. Profiled runs stay serial (the timing table is
-    // single-owner), as does a system already running on a pool lane.
-    const bool par_walk =
-        threads_ > 1 && !profile_ && !par::Pool::in_parallel_region();
-    if (par_walk) {
-      for (std::size_t l = 0; l + 1 < level_offsets_.size(); ++l) {
-        const std::size_t b = level_offsets_[l], e = level_offsets_[l + 1];
-        if (e - b < kMinParallelWidth) {
-          for (std::size_t i = b; i < e; ++i) {
-            Comp& c = comps_[static_cast<std::size_t>(level_order_[i].comp)];
-            if (!done(c) && comp_try_fire(c)) fired_total_.add();
-          }
-        } else {
-          par::Pool::shared().parallel_for(
-              e - b,
-              [&](std::size_t k) {
-                Comp& c =
-                    comps_[static_cast<std::size_t>(level_order_[b + k].comp)];
-                if (!done(c) && comp_try_fire(c)) fired_total_.add();
-              },
-              threads_);
-        }
-      }
-    } else {
-      for (const auto& s : level_order_) {
-        Comp& c = comps_[static_cast<std::size_t>(s.comp)];
-        if (!done(c) && fire(c)) fired_total_.add();
-      }
+    for (const auto& s : level_order_) {
+      Comp& c = comps_[static_cast<std::size_t>(s.comp)];
+      if (!done(c) && fire(c)) ++fired_total_;
     }
     need_iterative = false;
     for (const auto& c : comps_) {
@@ -701,7 +711,7 @@ void CompiledSystem::cycle() {
         if (done(c)) continue;
         if (fire(c)) {
           progress = true;
-          fired_total_.add();
+          ++fired_total_;
         }
         if (!done(c)) all_done = false;
       }
@@ -734,24 +744,23 @@ void CompiledSystem::cycle() {
   }
 
   // Phase 3: register update + state commit.
+  const auto commit = [&](std::int32_t id) {
+    for (const auto& cm : sfgs_[static_cast<std::size_t>(id)].commits) {
+      const double v = slots_[static_cast<std::size_t>(cm.src)];
+      slots_[static_cast<std::size_t>(cm.dst)] =
+          cm.has_fmt ? quants_[static_cast<std::size_t>(cm.q)](v) : v;
+    }
+  };
   for (auto& c : comps_) {
     if (!c.fired) continue;
-    std::vector<std::int32_t> ran;
     switch (c.kind) {
       case Kind::kFsm:
-        ran.assign(c.pending->sfgs.begin(), c.pending->sfgs.end());
+        for (const auto id : c.pending->sfgs) commit(id);
         c.state = c.pending->to;
         break;
-      case Kind::kSfg: ran.push_back(c.solo_sfg); break;
-      case Kind::kDispatch: ran.push_back(c.selected); break;
+      case Kind::kSfg: commit(c.solo_sfg); break;
+      case Kind::kDispatch: commit(c.selected); break;
       case Kind::kUntimed: break;
-    }
-    for (const auto id : ran) {
-      for (const auto& cm : sfgs_[static_cast<std::size_t>(id)].commits) {
-        const double v = slots_[static_cast<std::size_t>(cm.src)];
-        slots_[static_cast<std::size_t>(cm.dst)] =
-            cm.has_fmt ? fixpt::quantize(v, cm.fmt) : v;
-      }
     }
   }
   ++cycles_;
@@ -762,17 +771,14 @@ RunResult CompiledSystem::run(const RunOptions& opts) {
     CompiledSystem* s;
     diag::DiagEngine* diag;
     ScheduleMode mode;
-    unsigned threads;
     ~Restore() {
       s->diag_ = diag;
       s->mode_ = mode;
-      s->threads_ = threads;
       s->profile_ = false;
     }
-  } restore{this, diag_, mode_, threads_};
+  } restore{this, diag_, mode_};
   if (opts.diagnostics != nullptr) diag_ = opts.diagnostics;
   mode_ = opts.schedule;
-  set_threads(opts.nthreads);
   profile_ = opts.profile;
   if (profile_) prof_.assign(comps_.size(), {0, 0.0});
 
@@ -782,7 +788,7 @@ RunResult CompiledSystem::run(const RunOptions& opts) {
   RunResult r;
   const std::uint64_t retry0 = retry_passes_total_;
   const std::uint64_t level0 = levelized_cycles_total_;
-  const std::uint64_t fired0 = fired_total_.get();
+  const std::uint64_t fired0 = fired_total_;
   watchdog_tripped_ = false;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < opts.cycles; ++i) {
@@ -825,7 +831,7 @@ RunResult CompiledSystem::run(const RunOptions& opts) {
   }
   r.retry_passes = retry_passes_total_ - retry0;
   r.levelized_cycles = levelized_cycles_total_ - level0;
-  r.firings = fired_total_.get() - fired0;
+  r.firings = fired_total_ - fired0;
   r.schedule = (r.levelized_cycles > 0 && r.levelized_cycles * 2 >= r.cycles)
                    ? ScheduleMode::kLevelized
                    : ScheduleMode::kIterative;
@@ -1013,6 +1019,7 @@ void CompiledSystem::poke(const std::string& input_name, double v) {
 
 std::size_t CompiledSystem::footprint_bytes() const {
   std::size_t bytes = slots_.capacity() * sizeof(double) +
+                      quants_.capacity() * sizeof(fixpt::Quantizer) +
                       net_token_.capacity() + net_slots_.capacity() * sizeof(std::int32_t);
   for (const auto& s : sfgs_) {
     bytes += (s.pre.capacity() + s.main.capacity() + s.load_inputs.capacity()) * sizeof(Instr);
@@ -1024,7 +1031,7 @@ std::size_t CompiledSystem::footprint_bytes() const {
     for (const auto& st : c.by_state)
       for (const auto& gt : st) bytes += gt.guard.capacity() * sizeof(Instr) + gt.sfgs.capacity() * 4;
     bytes += (c.in_nets.capacity() + c.out_nets.capacity()) * sizeof(std::int32_t);
-    bytes += c.table.size() * 24;
+    bytes += c.table.size() * 24 + c.dense.capacity() * sizeof(std::int32_t);
   }
   return bytes;
 }

@@ -19,7 +19,6 @@
 
 #include "fixpt/format.h"
 #include "opt/options.h"
-#include "par/pool.h"
 #include "sched/cyclesched.h"
 #include "sched/fsmcomp.h"
 #include "sched/run.h"
@@ -69,18 +68,6 @@ class CompiledSystem {
   void set_schedule_mode(ScheduleMode m) { mode_ = m; }
   ScheduleMode schedule_mode() const { return mode_; }
 
-  /// Worker lanes for the level-parallel phase-2 walk, for cycle() calls
-  /// outside run() (see RunOptions::nthreads; 1 = serial, 0 = hardware).
-  /// Bit-identical to serial: within one level every tape writes disjoint
-  /// slots. Untimed components' native closures must be thread-safe to
-  /// run under threads > 1 (the system tapes themselves always are).
-  void set_threads(unsigned n) {
-    threads_ = n == 0 ? par::Pool::hardware_lanes() : n;
-  }
-  unsigned threads() const { return threads_; }
-
-  /// Levels at least this wide are partitioned across the pool.
-  static constexpr std::size_t kMinParallelWidth = 4;
   /// True when compile() found a valid level order for the system.
   bool levelizable() const { return levelizable_; }
   /// Why levelization failed (empty when levelizable()).
@@ -138,7 +125,11 @@ class CompiledSystem {
   std::size_t footprint_bytes() const;
 
   /// Total tape instructions retired (throughput accounting).
-  std::uint64_t ops_retired() const { return ops_.get(); }
+  std::uint64_t ops_retired() const { return ops_; }
+
+  /// Dispatch components whose opcode range (max - min + 1) is at most this
+  /// wide decode through a dense array; wider tables keep the map.
+  static constexpr long kDenseDecodeLimit = 1024;
 
   /// Emit a standalone C++ translation unit that reproduces this system's
   /// simulation (Fig 7's "C++ RT description"): the slot array, one
@@ -176,6 +167,7 @@ class CompiledSystem {
       std::int32_t src;  ///< computed next-value slot
       fixpt::Format fmt;
       bool has_fmt;
+      std::int32_t q;  ///< fmt's quantizer in quants_ (when has_fmt)
     };
     std::vector<Commit> commits;
   };
@@ -204,10 +196,15 @@ class CompiledSystem {
     std::map<long, std::int32_t> table;
     std::int32_t default_sfg = -1;
     std::int32_t selected = -1;
+    /// Dense decode: dense[opcode - dense_lo], gaps = default_sfg. Empty
+    /// when the opcode range exceeds kDenseDecodeLimit.
+    long dense_lo = 0;
+    std::vector<std::int32_t> dense;
     // kUntimed
     sched::UntimedComponent* untimed = nullptr;
     std::vector<std::int32_t> in_nets;
     std::vector<std::int32_t> out_nets;
+    std::vector<fixpt::Fixed> in_buf;  ///< reused argument vector
     // runtime
     bool fired = false;
   };
@@ -236,6 +233,12 @@ class CompiledSystem {
   void compute_ir_hash();
   void restore_state_impl(std::istream& is);
   bool comp_try_fire(Comp& c);
+  /// The SFG `opcode` selects on dispatch component `c`, or -1 when the
+  /// opcode is unknown and there is no default.
+  static std::int32_t decode(const Comp& c, long opcode);
+  /// Fire untimed component `c` on its input nets' values (the caller has
+  /// checked the tokens); publishes the outputs and their tokens.
+  void fire_untimed(Comp& c, const char* engine);
   void run_sfg_pre(std::int32_t sfg);
   bool run_sfg_main(std::int32_t sfg);  ///< false when inputs missing
 
@@ -246,6 +249,9 @@ class CompiledSystem {
 
   // static structures
   std::vector<SfgCode> sfgs_;
+  /// One quantizer per distinct format at a cast, quantized input load or
+  /// register commit, built by compile(); Instr::q and Commit::q index it.
+  std::vector<fixpt::Quantizer> quants_;
   std::vector<Comp> comps_;
   std::vector<const sched::Net*> ext_nets_;      ///< external-drive sources
   std::vector<std::int32_t> ext_net_slots_;
@@ -260,7 +266,6 @@ class CompiledSystem {
 
   // static schedule (built once by compile())
   std::vector<SchedSlot> level_order_;
-  std::vector<std::size_t> level_offsets_;  ///< level l = order [l, l+1)
   bool levelizable_ = false;
   int sched_levels_ = 0;
   std::string sched_reason_;
@@ -270,14 +275,11 @@ class CompiledSystem {
   std::vector<double> slots_;
   std::vector<std::uint8_t> net_token_;
   std::uint64_t cycles_ = 0;
-  // Bumped from inside the level-parallel walk; RelaxedCounter keeps the
-  // system copyable (compile() returns by value).
-  par::RelaxedCounter ops_;
-  par::RelaxedCounter fired_total_;
+  std::uint64_t ops_ = 0;
+  std::uint64_t fired_total_ = 0;
   std::uint64_t retry_passes_total_ = 0;
   std::uint64_t levelized_cycles_total_ = 0;
   ScheduleMode mode_ = ScheduleMode::kAuto;
-  unsigned threads_ = 1;
   int sched_failures_ = 0;  // walk misses; >= 2 disables the level walk
   bool sched002_reported_ = false;
   bool profile_ = false;

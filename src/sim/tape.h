@@ -29,6 +29,9 @@ struct Instr {
   std::int32_t b = -1;
   std::int32_t c = -1;
   fixpt::Format fmt{};
+  /// kCast / quantized copy: index of `fmt`'s precomputed quantizer in the
+  /// table exec() is given; -1 = none (quantize through `fmt`).
+  std::int32_t q = -1;
 
   static Instr apply(sfg::Op op, std::int32_t dst, std::int32_t a,
                      std::int32_t b = -1, std::int32_t c = -1,
@@ -62,7 +65,9 @@ using Tape = std::vector<Instr>;
 
 /// Execute `tape` over the slot array. Slot values are the quantized
 /// word-level values (doubles), identical to what interpreted evaluation
-/// computes.
-void exec(const Tape& tape, double* slots);
+/// computes. Casts and quantized copies run `quants[i.q]`, the quantizer
+/// a compiled system built for the instruction's format.
+void exec(const Tape& tape, double* slots,
+          const fixpt::Quantizer* quants = nullptr);
 
 }  // namespace asicpp::sim

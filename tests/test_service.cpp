@@ -347,6 +347,39 @@ TEST(Service, ForkFromCheckpointResumesByteIdentically) {
   EXPECT_EQ(parent_again, parent_rows);
 }
 
+/// A pin drive poked before the checkpoint stays in force in the fork: with
+/// no stimulus after the fork, the child's rows equal the parent's
+/// continuation on every in-process engine with a snapshot surface.
+TEST(Service, ForkKeepsPinDrivesPokedBeforeTheCheckpoint) {
+  for (const std::string engine : {"compiled", "levelized", "iterative"}) {
+    SCOPED_TRACE(engine);
+    Service svc;
+    Json open = ok_rpc(svc, R"({"op":"open","engine":")" + engine +
+                                R"(","design":"quickstart"})");
+    const std::string parent = open.get_string("session");
+    ok_rpc(svc, R"({"op":"poke","session":")" + parent +
+                    R"(","net":"x","value":1.5})");
+    ok_rpc(svc, R"({"op":"run","session":")" + parent + R"(","cycles":3})");
+    ok_rpc(svc, R"({"op":"checkpoint","session":")" + parent +
+                    R"(","name":"c"})");
+    ok_rpc(svc, R"({"op":"run","session":")" + parent + R"(","cycles":5})");
+    const auto parent_rows =
+        rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + parent +
+                                R"(","since":3})"));
+    ASSERT_EQ(parent_rows.size(), 5u);
+    EXPECT_EQ(parent_rows.back()[0], 1.5);  // probe x: the drive held
+
+    Json fork = ok_rpc(svc, R"({"op":"fork","session":")" + parent +
+                                R"(","from":"c"})");
+    const std::string child = fork.get_string("session");
+    ok_rpc(svc, R"({"op":"run","session":")" + child + R"(","cycles":5})");
+    const auto child_rows =
+        rows_of(ok_rpc(svc, R"({"op":"trace","session":")" + child +
+                                R"(","since":3})"));
+    EXPECT_EQ(child_rows, parent_rows);
+  }
+}
+
 TEST(Service, ForkFromUnknownCheckpointFailsSoftly) {
   Service svc;
   Json open = ok_rpc(

@@ -1,7 +1,11 @@
+#include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "dect/vliw.h"
 #include "fsm/fsm.h"
 #include "sched/cyclesched.h"
 #include "sched/fsmcomp.h"
@@ -277,6 +281,124 @@ TEST(CompiledSystem, UnknownNetOrRegThrows) {
   EXPECT_THROW(cs.net_value("nope"), std::out_of_range);
   EXPECT_THROW(cs.reg_value("nope"), std::out_of_range);
   EXPECT_THROW(cs.poke("nope", 0.0), std::out_of_range);
+}
+
+// Dense opcode decode: a dispatch component whose instruction net is a
+// driven pin and whose every instruction loads its own tag into `tag`, so
+// the register after one cycle names the SFG the decoder selected.
+struct DecodeRig {
+  Clk clk;
+  Reg tag{"tag", clk, kFmt, 0.0};
+  std::vector<std::unique_ptr<Sfg>> sfgs;
+  CycleScheduler sched{clk};
+  DispatchComponent dp{"dp", sched.net("op")};
+
+  DecodeRig(const std::vector<long>& opcodes, bool with_default) {
+    for (const long op : opcodes) {
+      sfgs.push_back(std::make_unique<Sfg>("i" + std::to_string(op)));
+      sfgs.back()->assign(tag, Sig(static_cast<double>(op)) + 0.0);
+      dp.add_instruction(op, *sfgs.back());
+    }
+    if (with_default) {
+      sfgs.push_back(std::make_unique<Sfg>("dflt"));
+      sfgs.back()->assign(tag, Sig(kDefaultTag) + 0.0);
+      dp.set_default(*sfgs.back());
+    }
+    sched.add(dp);
+  }
+
+  static constexpr double kDefaultTag = 4242.0;
+
+  /// Tag loaded by one cycle on `opcode`.
+  double run(CompiledSystem& cs, long opcode) {
+    sched.net("op").drive(Fixed(static_cast<double>(opcode)));
+    cs.cycle();
+    return cs.reg_value("tag");
+  }
+};
+
+std::string unknown_opcode_error(CompiledSystem& cs, DecodeRig& rig, long opcode) {
+  try {
+    rig.run(cs, opcode);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
+TEST(CompiledDecode, SparseTableWithNegativeOpcodesAndDefault) {
+  const std::vector<long> ops{-7, -1, 0, 3, 40};
+  DecodeRig rig(ops, /*with_default=*/true);
+  CompiledSystem cs = CompiledSystem::compile(rig.sched);
+  for (const long op : ops) EXPECT_EQ(rig.run(cs, op), static_cast<double>(op)) << op;
+  // Gaps inside the range and opcodes on either side of it take the default.
+  for (const long op : {-8L, -5L, 1L, 39L, 41L, 100000L, -100000L})
+    EXPECT_EQ(rig.run(cs, op), DecodeRig::kDefaultTag) << op;
+}
+
+TEST(CompiledDecode, UnknownOpcodeWithoutDefaultKeepsItsError) {
+  DecodeRig rig({-2, 5, 6}, /*with_default=*/false);
+  CompiledSystem cs = CompiledSystem::compile(rig.sched);
+  EXPECT_EQ(rig.run(cs, 5), 5.0);
+  EXPECT_EQ(unknown_opcode_error(cs, rig, 2),
+            "CompiledSystem 'dp': unknown opcode 2 and no default");
+  EXPECT_EQ(unknown_opcode_error(cs, rig, 7),
+            "CompiledSystem 'dp': unknown opcode 7 and no default");
+  EXPECT_EQ(unknown_opcode_error(cs, rig, -3),
+            "CompiledSystem 'dp': unknown opcode -3 and no default");
+}
+
+TEST(CompiledDecode, TablesAtAndPastTheDenseLimitDecodeAlike) {
+  const long limit = CompiledSystem::kDenseDecodeLimit;
+  // Range exactly the limit (dense array) and one past it (map fallback).
+  for (const long hi : {limit - 1, limit}) {
+    const std::vector<long> ops{-1, 0, hi - 1};
+    for (const bool with_default : {true, false}) {
+      DecodeRig rig(ops, with_default);
+      CompiledSystem cs = CompiledSystem::compile(rig.sched);
+      for (const long op : ops) EXPECT_EQ(rig.run(cs, op), static_cast<double>(op));
+      if (with_default) {
+        for (const long op : {-2L, 1L, hi - 2, hi, 10 * limit})
+          EXPECT_EQ(rig.run(cs, op), DecodeRig::kDefaultTag) << op;
+      } else {
+        EXPECT_EQ(unknown_opcode_error(cs, rig, hi),
+                  "CompiledSystem 'dp': unknown opcode " + std::to_string(hi) +
+                      " and no default");
+      }
+    }
+  }
+}
+
+TEST(CompiledDecode, WideTableMatchesTheInterpretedScheduler) {
+  const std::vector<long> ops{-5000, -3, 0, 17, 4000};
+  DecodeRig compiled_rig(ops, true), interpreted_rig(ops, true);
+  CompiledSystem cs = CompiledSystem::compile(compiled_rig.sched);
+  for (const long op : {-5000L, -4999L, -3L, 0L, 16L, 17L, 4000L, 4001L}) {
+    interpreted_rig.sched.net("op").drive(Fixed(static_cast<double>(op)));
+    interpreted_rig.sched.cycle();
+    EXPECT_EQ(compiled_rig.run(cs, op), interpreted_rig.tag.read().value())
+        << op;
+  }
+}
+
+// The compiled engine's firing and instruction counters are plain integers
+// now that no walk bumps them from worker threads. They must count exactly
+// what the atomics did: these figures were recorded on the DECT transceiver
+// before the change.
+TEST(CompiledSystem, DectCountersMatchRecordedFigures) {
+  dect::DectTransceiver t;
+  t.drive_sample(0.5);
+  CompiledSystem cs = CompiledSystem::compile(t.scheduler());
+  const RunResult lev = cs.run(RunOptions{}.for_cycles(1000));
+  EXPECT_EQ(lev.firings, 24623u);
+  EXPECT_EQ(lev.levelized_cycles, 1000u);
+  EXPECT_EQ(lev.retry_passes, 0u);
+  EXPECT_EQ(cs.ops_retired(), 68713u);
+  const RunResult it =
+      cs.run(RunOptions{}.for_cycles(200).mode(ScheduleMode::kIterative));
+  EXPECT_EQ(it.firings, 4927u);
+  EXPECT_EQ(it.retry_passes, 400u);
+  EXPECT_EQ(cs.ops_retired(), 82475u);
 }
 
 TEST(Recorder, CapturesWatchedNets) {

@@ -172,7 +172,15 @@ void Pool::parallel_for(std::size_t n,
     std::lock_guard<std::mutex> lk(mu_);
     if (job_ == job) job_ = nullptr;
   }
-  if (job->err) std::rethrow_exception(job->err);
+  // Take the exception out of the job before throwing it: a late worker's
+  // release of the last shared_ptr<Job> must not free the exception this
+  // thread is reading.
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> lk(job->err_mu);
+    err = std::move(job->err);
+  }
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace asicpp::par

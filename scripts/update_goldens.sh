@@ -14,7 +14,7 @@ cmake --build "$build" --target asicpp-flow -j >/dev/null
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-for design in fig6 dect hcor; do
+for design in fig6 quickstart dect hcor; do
   "$build/tools/asicpp-flow" emit --example "$design" -o "$tmp" >/dev/null
   cp "$tmp/$design/$design.v" "$repo/tests/goldens/$design.v"
   echo "updated tests/goldens/$design.v ($(wc -l < "$repo/tests/goldens/$design.v") lines)"

@@ -1,6 +1,7 @@
 #include "flow/verilog.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -33,12 +34,10 @@ std::string vname(const std::string& name) {
   return plain ? name : "\\" + name + " ";
 }
 
-/// Reverse map gate id -> primary-input port name.
-std::vector<std::string> input_names_by_id(const Netlist& nl) {
-  std::vector<std::string> names(static_cast<std::size_t>(nl.num_gates()));
-  for (const auto& [name, id] : nl.inputs())
-    names[static_cast<std::size_t>(id)] = name;
-  return names;
+void append_int(std::string& out, std::int32_t v) {
+  char buf[16];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -113,72 +112,126 @@ std::vector<std::string> output_ports(const Netlist& nl) {
 
 std::string emit_verilog(const Netlist& nl, const VerilogOptions& opt) {
   const std::vector<std::int32_t> order = canonical_order(nl);
-  const std::vector<std::string> in_name = input_names_by_id(nl);
   const bool has_dffs = nl.num_dff() > 0;
 
-  // Canonical position -> the wire/instance index of every gate.
-  std::vector<std::int32_t> pos(static_cast<std::size_t>(nl.num_gates()), -1);
+  // What a reference to each gate names: an input's index in in_vname,
+  // any other gate's canonical position (its _n wire and _g instance).
+  std::vector<std::int32_t> ref(static_cast<std::size_t>(nl.num_gates()), -1);
   for (std::size_t k = 0; k < order.size(); ++k)
-    pos[static_cast<std::size_t>(order[k])] = static_cast<std::int32_t>(k);
+    ref[static_cast<std::size_t>(order[k])] = static_cast<std::int32_t>(k);
 
-  const auto net_ref = [&](std::int32_t id) -> std::string {
-    if (id < 0) return "1'b0";  // unconnected placeholder fanin
-    if (nl.gate(id).type == GateType::kInput)
-      return vname(in_name[static_cast<std::size_t>(id)]);
-    return "_n" + std::to_string(pos[static_cast<std::size_t>(id)]);
+  // Port names, escaped once each, in port (name) order.
+  std::vector<std::string> in_vname;
+  std::vector<std::string> out_vname;
+  in_vname.reserve(nl.inputs().size());
+  out_vname.reserve(nl.outputs().size());
+  for (const auto& [name, id] : nl.inputs()) {
+    ref[static_cast<std::size_t>(id)] = static_cast<std::int32_t>(in_vname.size());
+    in_vname.push_back(vname(name));
+  }
+  for (const auto& [name, id] : nl.outputs()) out_vname.push_back(vname(name));
+  const std::string clk = vname(opt.clock);
+
+  std::string os;
+  std::size_t port_bytes = clk.size();
+  for (const std::string& v : in_vname) port_bytes += v.size();
+  for (const std::string& v : out_vname) port_bytes += v.size();
+  os.reserve(256 + 2 * opt.module_name.size() + 3 * port_bytes + 48 * nl.outputs().size() +
+             112 * order.size());
+
+  const auto wire = [&](std::int32_t k) {
+    os += "_n";
+    append_int(os, k);
+  };
+  const auto net_ref = [&](std::int32_t id) {
+    if (id < 0) {
+      os += "1'b0";  // unconnected placeholder fanin
+    } else if (nl.gate(id).type == GateType::kInput) {
+      os += in_vname[static_cast<std::size_t>(ref[static_cast<std::size_t>(id)])];
+    } else {
+      wire(ref[static_cast<std::size_t>(id)]);
+    }
   };
 
-  std::ostringstream os;
-  os << "// " << opt.module_name
-     << " — structural netlist over asicpp_sc_hd cells.\n"
-     << "// Emitted by asicpp-flow; canonical order, byte-stable across "
-        "gate insertion orders.\n";
-  os << "module " << opt.module_name << " (";
+  os += "// ";
+  os += opt.module_name;
+  os += " — structural netlist over asicpp_sc_hd cells.\n"
+        "// Emitted by asicpp-flow; canonical order, byte-stable across "
+        "gate insertion orders.\n"
+        "module ";
+  os += opt.module_name;
+  os += " (";
   bool first = true;
-  const auto port = [&](const std::string& name) {
-    os << (first ? "\n    " : ",\n    ") << vname(name);
+  const auto port = [&](const std::string& v) {
+    os += first ? "\n    " : ",\n    ";
+    os += v;
     first = false;
   };
-  if (has_dffs) port(opt.clock);
-  for (const auto& name : input_ports(nl)) port(name);
-  for (const auto& name : output_ports(nl)) port(name);
-  os << "\n  );\n";
+  if (has_dffs) port(clk);
+  for (const std::string& v : in_vname) port(v);
+  for (const std::string& v : out_vname) port(v);
+  os += "\n  );\n";
 
-  if (has_dffs) os << "  input " << vname(opt.clock) << ";\n";
-  for (const auto& name : input_ports(nl))
-    os << "  input " << vname(name) << ";\n";
-  for (const auto& name : output_ports(nl))
-    os << "  output " << vname(name) << ";\n";
+  const auto decl = [&](const char* kind, const std::string& v) {
+    os += kind;
+    os += v;
+    os += ";\n";
+  };
+  if (has_dffs) decl("  input ", clk);
+  for (const std::string& v : in_vname) decl("  input ", v);
+  for (const std::string& v : out_vname) decl("  output ", v);
 
   // One wire and one instance per non-input gate, canonical order.
-  for (const std::int32_t id : order)
-    if (nl.gate(id).type != GateType::kInput)
-      os << "  wire _n" << pos[static_cast<std::size_t>(id)] << ";\n";
-
-  for (const std::int32_t id : order) {
-    const Gate& g = nl.gate(id);
-    if (g.type == GateType::kInput) continue;
-    const CellBinding& b = cell_binding(g.type);
-    const char* cell =
-        g.type == GateType::kDff ? dff_cell(g.init) : b.cell;
-    os << "  " << cell << " _g" << pos[static_cast<std::size_t>(id)] << " (";
-    bool first_pin = true;
-    const auto conn = [&](const char* pin, const std::string& sig) {
-      os << (first_pin ? "" : ", ") << "." << pin << "(" << sig << ")";
-      first_pin = false;
-    };
-    if (g.type == GateType::kDff) conn("CLK", vname(opt.clock));
-    for (int i = 0; i < netlist::gate_arity(g.type); ++i)
-      conn(b.pins[i], net_ref(g.in[i]));
-    conn(b.out, "_n" + std::to_string(pos[static_cast<std::size_t>(id)]));
-    os << ");\n";
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (nl.gate(order[k]).type == GateType::kInput) continue;
+    os += "  wire ";
+    wire(static_cast<std::int32_t>(k));
+    os += ";\n";
   }
 
-  for (const auto& [name, id] : nl.outputs())
-    os << "  assign " << vname(name) << " = " << net_ref(id) << ";\n";
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Gate& g = nl.gate(order[k]);
+    if (g.type == GateType::kInput) continue;
+    const CellBinding& b = cell_binding(g.type);
+    os += "  ";
+    os += g.type == GateType::kDff ? dff_cell(g.init) : b.cell;
+    os += " _g";
+    append_int(os, static_cast<std::int32_t>(k));
+    os += " (";
+    const char* sep = "";
+    const auto pin = [&](const char* name) {
+      os += sep;
+      os += '.';
+      os += name;
+      os += '(';
+      sep = ", ";
+    };
+    if (g.type == GateType::kDff) {
+      pin("CLK");
+      os += clk;
+      os += ')';
+    }
+    for (int i = 0; i < netlist::gate_arity(g.type); ++i) {
+      pin(b.pins[i]);
+      net_ref(g.in[i]);
+      os += ')';
+    }
+    pin(b.out);
+    wire(static_cast<std::int32_t>(k));
+    os += "));\n";
+  }
 
-  os << "endmodule\n";
-  return os.str();
+  std::size_t out_k = 0;
+  for (const auto& [name, id] : nl.outputs()) {
+    os += "  assign ";
+    os += out_vname[out_k++];
+    os += " = ";
+    net_ref(id);
+    os += ";\n";
+  }
+
+  os += "endmodule\n";
+  return os;
 }
 
 std::string cells_sim_verilog() {

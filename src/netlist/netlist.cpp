@@ -169,42 +169,55 @@ std::vector<std::int32_t> Netlist::levelize() const {
   // Kahn's algorithm over combinational edges; DFFs, inputs, constants are
   // sources (their outputs are available at cycle start).
   const auto n = static_cast<std::size_t>(num_gates());
-  std::vector<int> pending(n, 0);
-  std::vector<std::vector<std::int32_t>> fanout(n);
   auto is_source = [&](std::int32_t id) {
     const GateType t = gates_[static_cast<std::size_t>(id)].type;
     return t == GateType::kInput || t == GateType::kConst0 ||
            t == GateType::kConst1 || t == GateType::kDff;
   };
+  // Fanouts as one CSR array: count each driver's combinational readers,
+  // prefix-sum the counts into row starts, then fill in gate (and pin)
+  // order, so every row lists its readers in ascending id.
+  std::vector<int> pending(n, 0);
+  std::vector<std::int32_t> start(n + 1, 0);
+  std::size_t comb = 0;
   for (std::int32_t id = 0; id < num_gates(); ++id) {
     const Gate& g = gates_[static_cast<std::size_t>(id)];
     if (is_source(id)) continue;
+    ++comb;
     for (int i = 0; i < gate_arity(g.type); ++i) {
       const std::int32_t f = g.in[i];
       if (f < 0)
         throw std::runtime_error("Netlist::levelize: unconnected fanin (open placeholder?)");
       if (!is_source(f)) {
         ++pending[static_cast<std::size_t>(id)];
-        fanout[static_cast<std::size_t>(f)].push_back(id);
+        ++start[static_cast<std::size_t>(f) + 1];
       }
     }
   }
+  for (std::size_t i = 0; i < n; ++i) start[i + 1] += start[i];
+  std::vector<std::int32_t> fanout(static_cast<std::size_t>(start[n]));
+  std::vector<std::int32_t> fill(start.begin(), start.end() - 1);
   std::vector<std::int32_t> order;
+  order.reserve(comb);
   std::vector<std::int32_t> ready;
   for (std::int32_t id = 0; id < num_gates(); ++id) {
-    if (!is_source(id) && pending[static_cast<std::size_t>(id)] == 0) ready.push_back(id);
+    if (is_source(id)) continue;
+    const Gate& g = gates_[static_cast<std::size_t>(id)];
+    for (int i = 0; i < gate_arity(g.type); ++i)
+      if (!is_source(g.in[i]))
+        fanout[static_cast<std::size_t>(fill[static_cast<std::size_t>(g.in[i])]++)] = id;
+    if (pending[static_cast<std::size_t>(id)] == 0) ready.push_back(id);
   }
   while (!ready.empty()) {
     const std::int32_t id = ready.back();
     ready.pop_back();
     order.push_back(id);
-    for (const std::int32_t f : fanout[static_cast<std::size_t>(id)]) {
-      if (--pending[static_cast<std::size_t>(f)] == 0) ready.push_back(f);
+    const auto row = static_cast<std::size_t>(id);
+    for (std::int32_t k = start[row]; k < start[row + 1]; ++k) {
+      const auto f = static_cast<std::size_t>(fanout[static_cast<std::size_t>(k)]);
+      if (--pending[f] == 0) ready.push_back(static_cast<std::int32_t>(f));
     }
   }
-  std::size_t comb = 0;
-  for (std::int32_t id = 0; id < num_gates(); ++id)
-    if (!is_source(id)) ++comb;
   if (order.size() != comb)
     throw std::runtime_error("Netlist::levelize: combinational loop");
   return order;

@@ -48,6 +48,27 @@ Json rows_array(const std::vector<double>& rows, std::size_t stride,
   return a;
 }
 
+/// The integer in request field `key` (`dflt` when absent), in
+/// [min, max] (no upper bound when `max` is infinite, which needs min 0).
+/// Anything else — a non-number, a fraction, a value out of range — yields
+/// nullopt with a SERVICE-002 message in *why.
+std::optional<double> count_field(const Json& req, const std::string& key,
+                                  double dflt, double min, double max,
+                                  std::string* why) {
+  const Json* v = req.get(key);
+  if (v == nullptr) return dflt;
+  const double d = v->as_number(-1.0);
+  if (v->is_number() && d >= min && d <= max && d == std::floor(d)) return d;
+  std::string got = v->dump();
+  if (got.size() > 40) got = got.substr(0, 37) + "...";
+  const std::string range =
+      std::isinf(max) ? "a non-negative integer"
+                      : "an integer in [" + Json::number(min).dump() + ", " +
+                            Json::number(max).dump() + "]";
+  *why = "SERVICE-002: '" + key + "' must be " + range + ", got " + got;
+  return std::nullopt;
+}
+
 }  // namespace
 
 struct Service::Session {
@@ -63,6 +84,7 @@ struct Service::Session {
   pipeline::CompileResult compiled;
   std::vector<std::string> watch;
   diag::DiagEngine diags;
+  std::size_t dropped_findings = 0;  ///< findings past kMaxSessionFindings
 
   std::uint64_t cycle = 0;
   /// The trace stream: one probe row (watch order) per simulated cycle,
@@ -82,28 +104,30 @@ struct Service::Session {
   };
   std::map<std::string, Ckpt> ckpts;
 
-  /// The non-negative integer in request field `key` (`dflt` when absent),
-  /// at most `max` (no bound when `max` is infinite). Anything else — a
-  /// non-number, a fraction, a negative or too large value — is recorded
-  /// as SERVICE-002 and yields nullopt with the error reply in *err; the
+  /// Record a finding from a rejected or failing request. Past
+  /// Service::kMaxSessionFindings findings the session only counts them,
+  /// so a client that repeats a bad request cannot grow it without limit.
+  void record(const char* code, const std::string& why) {
+    if (diags.size() < kMaxSessionFindings) {
+      diags.error(code, "session", why);
+    } else {
+      ++dropped_findings;
+    }
+  }
+
+  /// The free count_field, with a rejection recorded as SERVICE-002; the
   /// session itself is left as it was.
   std::optional<double> count_field(const Json& req, const std::string& key,
-                                    double dflt, double max, Json* err) {
-    const Json* v = req.get(key);
-    if (v == nullptr) return dflt;
-    const double d = v->as_number(-1.0);
-    if (v->is_number() && d >= 0.0 && d <= max && d == std::floor(d))
-      return d;
-    std::string got = v->dump();
-    if (got.size() > 40) got = got.substr(0, 37) + "...";
-    const std::string range =
-        std::isinf(max) ? "a non-negative integer"
-                        : "an integer in [0, " + Json::number(max).dump() + "]";
-    const std::string why =
-        "SERVICE-002: '" + key + "' must be " + range + ", got " + got;
-    diags.error("SERVICE-002", "session", why);
-    *err = error_json(why);
-    return std::nullopt;
+                                    double dflt, double min, double max,
+                                    Json* err) {
+    std::string why;
+    const std::optional<double> v =
+        service::count_field(req, key, dflt, min, max, &why);
+    if (!v) {
+      record("SERVICE-002", why);
+      *err = error_json(why);
+    }
+    return v;
   }
 };
 
@@ -172,8 +196,11 @@ Json Service::op_open(const Json& req) {
   creq.cxx = req.get_string("cxx", "c++");
   creq.workdir = req.get_string("workdir");
   creq.store_dir = req.get_string("store_dir");
-  if (const Json* l = req.get("lanes"); l != nullptr && l->is_number())
-    creq.lanes = static_cast<unsigned>(l->as_number());
+  std::string why;
+  const std::optional<double> lanes =
+      count_field(req, "lanes", creq.lanes, 1, kMaxLanes, &why);
+  if (!lanes) return error_json(why);
+  creq.lanes = static_cast<unsigned>(*lanes);
 
   std::vector<std::string> watch;
   if (const Json* w = req.get("watch"); w != nullptr && w->is_array())
@@ -243,7 +270,7 @@ Json Service::op_run(const Json& req) {
   const std::lock_guard<std::mutex> lock(sess->mu);
 
   const std::optional<double> n = sess->count_field(
-      req, "cycles", 1, static_cast<double>(kMaxRunCycles), &err);
+      req, "cycles", 1, 0, static_cast<double>(kMaxRunCycles), &err);
   if (!n) return err;
   const auto cycles = static_cast<std::uint64_t>(*n);
   engine::Instance& inst = *sess->compiled.instance;
@@ -258,7 +285,7 @@ Json Service::op_run(const Json& req) {
     // Drop the row a failing probe left half-written.
     sess->rows.resize(static_cast<std::size_t>(sess->cycle) *
                       sess->watch.size());
-    sess->diags.error("SERVICE-001", "session", ex.what());
+    sess->record("SERVICE-001", ex.what());
     Json j = error_json(ex.what());
     j.set("cycle", Json::number(static_cast<double>(sess->cycle)));
     return j;
@@ -307,7 +334,7 @@ Json Service::op_trace(const Json& req) {
   if (sess == nullptr) return err;
   const std::lock_guard<std::mutex> lock(sess->mu);
   const std::optional<double> s = sess->count_field(
-      req, "since", 0, std::numeric_limits<double>::infinity(), &err);
+      req, "since", 0, 0, std::numeric_limits<double>::infinity(), &err);
   if (!s) return err;
   const auto n = static_cast<std::size_t>(sess->cycle);
   const std::size_t since =
@@ -431,6 +458,7 @@ Json Service::op_diag(const Json& req) {
   }
   Json j = ok_json();
   j.set("findings", std::move(findings));
+  j.set("dropped", Json::number(static_cast<double>(sess->dropped_findings)));
   return j;
 }
 

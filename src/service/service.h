@@ -34,7 +34,7 @@
 //   {"op":"trace","session":"s1","since":8}   -> {"ok":true,"from":8,"rows":[...]}
 //   {"op":"checkpoint","session":"s1","name":"c1"}      -> {"ok":true,...}
 //   {"op":"fork","session":"s1","from":"c1"}  -> {"ok":true,"session":"s2",...}
-//   {"op":"diag","session":"s1"}   -> {"ok":true,"findings":[...]}
+//   {"op":"diag","session":"s1"}   -> {"ok":true,"findings":[...],"dropped":0}
 //   {"op":"close","session":"s1"}  -> {"ok":true}
 //   {"op":"ping"}                  -> {"ok":true,"engines":[...],"designs":[...]}
 //   {"op":"shutdown"}              -> {"ok":true,"shutdown":true}
@@ -48,7 +48,11 @@
 // [0, kMaxRunCycles] and trace's "since" a non-negative integer (past the
 // history it reads nothing); any other value is rejected with
 // SERVICE-002, recorded in the session's diagnostics, and the session's
-// cycle and history stay as they were.
+// cycle and history stay as they were. open's "lanes" must be an integer
+// in [1, kMaxLanes]; any other value is SERVICE-002 and opens no session.
+// A session keeps at most kMaxSessionFindings findings: past that, the
+// findings of rejected (SERVICE-002) and failing (SERVICE-001) requests
+// are only counted, and diag reports the count as "dropped".
 #pragma once
 
 #include <atomic>
@@ -86,6 +90,10 @@ class Service {
  public:
   /// Most cycles one run request may advance.
   static constexpr std::uint64_t kMaxRunCycles = 1000000;
+  /// Most SoA lanes an open request may ask of the batched engine.
+  static constexpr unsigned kMaxLanes = 64;
+  /// Most findings a session keeps; diag reports how many it dropped.
+  static constexpr std::size_t kMaxSessionFindings = 256;
 
   Service();
   ~Service();

@@ -1,8 +1,8 @@
 #include "synth/optimize.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 namespace asicpp::synth {
@@ -16,8 +16,16 @@ namespace {
 /// Working view: every gate id maps to a representative (another gate).
 class Rewriter {
  public:
-  explicit Rewriter(const Netlist& nl) : nl_(&nl), repl_(static_cast<std::size_t>(nl.num_gates())) {
+  explicit Rewriter(const Netlist& nl)
+      : nl_(&nl),
+        repl_(static_cast<std::size_t>(nl.num_gates())),
+        keys_(static_cast<std::size_t>(nl.num_gates())) {
     for (std::int32_t i = 0; i < nl.num_gates(); ++i) repl_[static_cast<std::size_t>(i)] = i;
+    // Power-of-two table at least twice the gate count: linear probes
+    // stay short at a load factor of at most one half.
+    std::size_t size = 2;
+    while (size < 2 * static_cast<std::size_t>(nl.num_gates())) size *= 2;
+    table_.resize(size);
     for (std::int32_t i = 0; i < nl.num_gates(); ++i) {
       const GateType t = nl.gate(i).type;
       if (t == GateType::kConst0) const0_ = i;
@@ -47,7 +55,7 @@ class Rewriter {
   /// One simplification sweep; returns number of changes.
   int sweep(OptStats& st) {
     int changes = 0;
-    std::map<std::tuple<int, std::int32_t, std::int32_t, std::int32_t>, std::int32_t> hash;
+    std::fill(table_.begin(), table_.end(), kEmpty);
     for (std::int32_t id = 0; id < nl_->num_gates(); ++id) {
       if (find(id) != id) continue;
       const Gate& g = nl_->gate(id);
@@ -124,12 +132,17 @@ class Rewriter {
         default:
           break;
       }
-      const auto key = std::make_tuple(static_cast<int>(g.type), ha, hb, c);
-      const auto it = hash.find(key);
-      if (it == hash.end()) {
-        hash.emplace(key, id);
-      } else if (it->second != id) {
-        repl_[static_cast<std::size_t>(id)] = it->second;
+      // The first gate in id order holds each key; later ones merge into it.
+      const Key key{static_cast<std::int32_t>(g.type), ha, hb, c};
+      const std::size_t mask = table_.size() - 1;
+      std::size_t slot = key.hash() & mask;
+      while (table_[slot] != kEmpty && !(keys_[static_cast<std::size_t>(table_[slot])] == key))
+        slot = (slot + 1) & mask;
+      if (table_[slot] == kEmpty) {
+        table_[slot] = id;
+        keys_[static_cast<std::size_t>(id)] = key;
+      } else {
+        repl_[static_cast<std::size_t>(id)] = table_[slot];
         ++st.deduplicated;
         ++changes;
       }
@@ -164,8 +177,27 @@ class Rewriter {
   }
 
  private:
+  /// Canonical structural key of a gate: type and representative fanins.
+  struct Key {
+    std::int32_t type, a, b, c;
+    bool operator==(const Key&) const = default;
+    std::size_t hash() const {
+      std::uint64_t h = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32 |
+                         static_cast<std::uint32_t>(b)) * 0x9E3779B97F4A7C15ULL;
+      h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c)) << 8 |
+            static_cast<std::uint32_t>(type)) * 0xC2B2AE3D27D4EB4FULL;
+      h ^= h >> 31;
+      return static_cast<std::size_t>(h * 0x94D049BB133111EBULL >> 32);
+    }
+  };
+  static constexpr std::int32_t kEmpty = -1;
+
   const Netlist* nl_;
   std::vector<std::int32_t> repl_;
+  /// Open-addressed structural hash of gate ids, cleared each sweep; the
+  /// key of an id in the table is keys_[id].
+  std::vector<std::int32_t> table_;
+  std::vector<Key> keys_;
   std::int32_t const0_ = -1;
   std::int32_t const1_ = -1;
   bool need0_ = false;

@@ -54,7 +54,7 @@ TEST_P(FlowGolden, EmissionIsStableAcrossRebuilds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, FlowGolden,
-                         ::testing::Values("fig6", "dect", "hcor"));
+                         ::testing::Values("fig6", "quickstart", "dect", "hcor"));
 
 }  // namespace
 }  // namespace asicpp::flow

@@ -1,4 +1,8 @@
+#include <optional>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +59,123 @@ TEST(Netlist, LevelizeDetectsCombLoop) {
   nl.set_dff_input(d, g);
   EXPECT_NO_THROW(nl.levelize());  // sequential loop is fine
   EXPECT_EQ(nl.levelize().size(), 1u);
+}
+
+// Reference levelization: Kahn's algorithm over per-gate fanout vectors,
+// the shape Netlist::levelize had before its fanouts became one CSR array.
+// Returns the order, or nullopt with the error levelize must throw in *err.
+std::optional<std::vector<std::int32_t>> reference_levelize(const Netlist& nl,
+                                                            std::string* err) {
+  const auto n = static_cast<std::size_t>(nl.num_gates());
+  const auto is_source = [&](std::int32_t id) {
+    const GateType t = nl.gate(id).type;
+    return t == GateType::kInput || t == GateType::kConst0 ||
+           t == GateType::kConst1 || t == GateType::kDff;
+  };
+  std::vector<int> pending(n, 0);
+  std::vector<std::vector<std::int32_t>> fanout(n);
+  std::size_t comb = 0;
+  for (std::int32_t id = 0; id < nl.num_gates(); ++id) {
+    if (is_source(id)) continue;
+    ++comb;
+    const Gate& g = nl.gate(id);
+    for (int i = 0; i < gate_arity(g.type); ++i) {
+      if (g.in[i] < 0) {
+        *err = "Netlist::levelize: unconnected fanin (open placeholder?)";
+        return std::nullopt;
+      }
+      if (!is_source(g.in[i])) {
+        ++pending[static_cast<std::size_t>(id)];
+        fanout[static_cast<std::size_t>(g.in[i])].push_back(id);
+      }
+    }
+  }
+  std::vector<std::int32_t> order, ready;
+  for (std::int32_t id = 0; id < nl.num_gates(); ++id)
+    if (!is_source(id) && pending[static_cast<std::size_t>(id)] == 0) ready.push_back(id);
+  while (!ready.empty()) {
+    const std::int32_t id = ready.back();
+    ready.pop_back();
+    order.push_back(id);
+    for (const std::int32_t f : fanout[static_cast<std::size_t>(id)])
+      if (--pending[static_cast<std::size_t>(f)] == 0) ready.push_back(f);
+  }
+  if (order.size() != comb) {
+    *err = "Netlist::levelize: combinational loop";
+    return std::nullopt;
+  }
+  return order;
+}
+
+// Property: over random netlists with placeholders (connected backward,
+// forward, into loops, or left open) and DFF feedback, levelize returns
+// exactly the reference order, or throws exactly the reference's error.
+TEST(Netlist, LevelizeMatchesReferenceKahnOnRandomNetlists) {
+  int ordered = 0, open = 0, loops = 0;
+  for (int seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(static_cast<unsigned>(seed) * 7919 + 3);
+    const auto below = [&](std::size_t n) { return rng() % n; };
+    Netlist nl;
+    std::vector<std::int32_t> pool;
+    for (int i = 0; i < 1 + static_cast<int>(below(4)); ++i)
+      pool.push_back(nl.add_input("in" + std::to_string(i)));
+    if (below(2) == 0) pool.push_back(nl.add_gate(GateType::kConst0));
+    std::vector<std::int32_t> dffs, holes;
+    const GateType kinds[] = {GateType::kAnd, GateType::kOr,   GateType::kXor,
+                              GateType::kNand, GateType::kNor, GateType::kXnor,
+                              GateType::kNot, GateType::kBuf,  GateType::kMux};
+    const int gates = 5 + static_cast<int>(below(60));
+    for (int i = 0; i < gates; ++i) {
+      const auto r = below(10);
+      std::int32_t g;
+      if (r == 0) {
+        g = nl.add_dff(below(2) == 0);
+        dffs.push_back(g);
+      } else if (r == 1) {
+        g = nl.add_placeholder();
+        holes.push_back(g);
+      } else {
+        const GateType t = kinds[below(9)];
+        const auto pick = [&] { return pool[below(pool.size())]; };
+        const std::int32_t a = pick(), b = pick(), c = pick();
+        g = gate_arity(t) == 1   ? nl.add_gate(t, a)
+            : gate_arity(t) == 3 ? nl.add_gate(t, a, b, c)
+                                 : nl.add_gate(t, a, b);
+      }
+      pool.push_back(g);
+    }
+    for (const std::int32_t d : dffs) nl.set_dff_input(d, pool[below(pool.size())]);
+    // Mode 0 connects every placeholder to an earlier gate (acyclic),
+    // mode 1 to any gate (forward references, sometimes loops), mode 2
+    // like mode 1 but leaves one placeholder open.
+    const int mode = seed % 3;
+    for (std::size_t k = 0; k < holes.size(); ++k) {
+      if (mode == 2 && k + 1 == holes.size()) continue;
+      const std::size_t span = mode == 0 ? static_cast<std::size_t>(holes[k])
+                                         : static_cast<std::size_t>(nl.num_gates());
+      nl.connect_placeholder(holes[k], static_cast<std::int32_t>(below(span)));
+    }
+
+    std::string err;
+    const auto want = reference_levelize(nl, &err);
+    if (want) {
+      ++ordered;
+      EXPECT_EQ(nl.levelize(), *want);
+    } else {
+      ++(err.find("loop") != std::string::npos ? loops : open);
+      try {
+        (void)nl.levelize();
+        ADD_FAILURE() << "levelize did not throw: " << err;
+      } catch (const std::runtime_error& ex) {
+        EXPECT_EQ(std::string(ex.what()), err);
+      }
+    }
+  }
+  // Every outcome is exercised.
+  EXPECT_GE(ordered, 100);
+  EXPECT_GE(open, 20);
+  EXPECT_GE(loops, 20);
 }
 
 TEST(LevelizedSim, FullAdderTruthTable) {

@@ -620,6 +620,64 @@ TEST(Service, RunAndTraceRejectOutOfRangeCounts) {
   EXPECT_EQ(service_002, rejected);
 }
 
+/// open cast "lanes" straight to an unsigned integer: -1, 1e20 and 2^32+1
+/// were undefined behaviour, and a huge value asked the batched engine for
+/// that many lanes of state. Each is now SERVICE-002 and opens no session.
+TEST(Service, OpenRejectsOutOfRangeLanes) {
+  const std::string open = R"({"op":"open","engine":"batched","spec":")" +
+                           json_escape(verify::to_text(verify::generate(
+                               verify::GenConfig{}, 17))) +
+                           R"(","lanes":)";
+  Service svc;
+  for (const char* n : {"-1", "0", "1.5", "1e20", "4294967297", "65",
+                        "\"8\"", "null", "true"}) {
+    SCOPED_TRACE(n);
+    Json r = rpc(svc, open + n + "}");
+    EXPECT_FALSE(r.get_bool("ok", true));
+    EXPECT_EQ(r.get_string("error").rfind("SERVICE-002: 'lanes'", 0), 0u)
+        << r.dump();
+    EXPECT_EQ(svc.session_count(), 0u);
+  }
+  // Both ends of the range open a session that runs.
+  for (const unsigned n : {1u, Service::kMaxLanes}) {
+    SCOPED_TRACE(n);
+    Json r = ok_rpc(svc, open + std::to_string(n) + "}");
+    ok_rpc(svc, R"({"op":"run","session":")" + r.get_string("session") +
+                    R"(","cycles":3})");
+  }
+  EXPECT_EQ(svc.session_count(), 2u);
+}
+
+/// Every rejected request appended a finding for the session's whole life,
+/// so repeating one grew the daemon without limit. A session now keeps
+/// kMaxSessionFindings findings and diag counts the rest as dropped.
+TEST(Service, SessionFindingsStayAtTheCap) {
+  Service svc;
+  Json open = ok_rpc(
+      svc, R"({"op":"open","engine":"compiled","design":"quickstart"})");
+  const std::string sid = open.get_string("session");
+  const std::string diag = R"({"op":"diag","session":")" + sid + R"("})";
+  const std::size_t before = ok_rpc(svc, diag).get("findings")->items().size();
+  ASSERT_LT(before, Service::kMaxSessionFindings);
+  const std::string bad =
+      R"({"op":"run","session":")" + sid + R"(","cycles":-1})";
+  constexpr std::size_t kBad = 10000;
+  for (std::size_t i = 0; i < kBad; ++i) {
+    Json r = rpc(svc, bad);
+    ASSERT_FALSE(r.get_bool("ok", true)) << r.dump();
+    ASSERT_EQ(r.get_string("error").rfind("SERVICE-002: 'cycles'", 0), 0u);
+  }
+  Json d = ok_rpc(svc, diag);
+  EXPECT_EQ(d.get("findings")->items().size(), Service::kMaxSessionFindings);
+  EXPECT_EQ(d.get_number("dropped"),
+            static_cast<double>(before + kBad - Service::kMaxSessionFindings));
+  // The session still runs.
+  EXPECT_EQ(ok_rpc(svc, R"({"op":"run","session":")" + sid +
+                            R"(","cycles":2})")
+                .get_number("cycle"),
+            2.0);
+}
+
 TEST(Service, RunAcceptsTheCycleCap) {
   Service svc;
   Json open = ok_rpc(

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <random>
+#include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -472,6 +474,107 @@ TEST_P(OptimizeEquivProperty, PreservesBehaviorOnRandomNetlists) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimizeEquivProperty, ::testing::Range(0, 12));
+
+/// True when `from`'s combinational cone (through placeholders, stopping
+/// at DFFs) contains `target`.
+bool comb_reaches(const Netlist& nl, std::int32_t from, std::int32_t target) {
+  std::vector<std::int32_t> stack{from};
+  std::vector<bool> seen(static_cast<std::size_t>(nl.num_gates()), false);
+  while (!stack.empty()) {
+    const std::int32_t id = stack.back();
+    stack.pop_back();
+    if (id < 0 || seen[static_cast<std::size_t>(id)]) continue;
+    if (id == target) return true;
+    seen[static_cast<std::size_t>(id)] = true;
+    const netlist::Gate& g = nl.gate(id);
+    if (g.type == GateType::kDff) continue;
+    for (int i = 0; i < netlist::gate_arity(g.type); ++i) stack.push_back(g.in[i]);
+  }
+  return false;
+}
+
+// Property: over random netlists with duplicated and commuted gates,
+// forward-connected placeholders and DFF feedback, the optimized netlist
+// holds no two combinational gates with one canonical (type, a, b, c) key,
+// and optimizing it again merges nothing and keeps every gate.
+TEST(Optimize, ResultIsStructurallyHashedFixpoint) {
+  int merged = 0;
+  for (int seed = 0; seed < 250; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(static_cast<unsigned>(seed) * 104729 + 5);
+    const auto below = [&](std::size_t n) { return rng() % n; };
+    Netlist nl;
+    std::vector<std::int32_t> pool;
+    for (int i = 0; i < 2 + static_cast<int>(below(4)); ++i)
+      pool.push_back(nl.add_input("in" + std::to_string(i)));
+    if (below(2) == 0) pool.push_back(nl.add_gate(GateType::kConst0));
+    if (below(2) == 0) pool.push_back(nl.add_gate(GateType::kConst1));
+    std::vector<std::int32_t> dffs, holes, made;  // made: gates with fanins
+    const GateType kinds[] = {GateType::kAnd, GateType::kOr,   GateType::kXor,
+                              GateType::kNand, GateType::kNor, GateType::kXnor,
+                              GateType::kNot, GateType::kBuf,  GateType::kMux};
+    const int gates = 10 + static_cast<int>(below(70));
+    for (int i = 0; i < gates; ++i) {
+      const auto r = below(12);
+      std::int32_t g;
+      if (r == 0) {
+        g = nl.add_dff(below(2) == 0);
+        dffs.push_back(g);
+      } else if (r == 1) {
+        g = nl.add_placeholder();
+        holes.push_back(g);
+      } else if (r <= 3 && !made.empty()) {
+        // A copy of an earlier gate, operands swapped for two-input kinds.
+        const netlist::Gate src = nl.gate(made[below(made.size())]);
+        const int ar = netlist::gate_arity(src.type);
+        g = ar == 1   ? nl.add_gate(src.type, src.in[0])
+            : ar == 3 ? nl.add_gate(src.type, src.in[0], src.in[1], src.in[2])
+                      : nl.add_gate(src.type, src.in[1], src.in[0]);
+        made.push_back(g);
+      } else {
+        const GateType t = kinds[below(9)];
+        const auto pick = [&] { return pool[below(pool.size())]; };
+        const std::int32_t a = pick(), b = pick(), c = pick();
+        g = netlist::gate_arity(t) == 1   ? nl.add_gate(t, a)
+            : netlist::gate_arity(t) == 3 ? nl.add_gate(t, a, b, c)
+                                          : nl.add_gate(t, a, b);
+        made.push_back(g);
+      }
+      pool.push_back(g);
+    }
+    // Placeholders take any gate whose cone does not reach back to them
+    // (forward references included); DFFs take any gate.
+    for (const std::int32_t h : holes) {
+      std::int32_t src = pool[below(pool.size())];
+      if (comb_reaches(nl, src, h)) src = pool[0];
+      nl.connect_placeholder(h, src);
+    }
+    for (const std::int32_t d : dffs) nl.set_dff_input(d, pool[below(pool.size())]);
+    for (int i = 0; i < 4; ++i)
+      nl.mark_output("o" + std::to_string(i), pool[pool.size() - 1 - static_cast<std::size_t>(i)]);
+    nl.mark_output("r", pool[below(pool.size())]);
+
+    OptStats st;
+    const Netlist out = optimize(nl, &st);
+    merged += st.deduplicated;
+    std::set<std::tuple<int, std::int32_t, std::int32_t, std::int32_t>> keys;
+    for (std::int32_t id = 0; id < out.num_gates(); ++id) {
+      const netlist::Gate& g = out.gate(id);
+      if (g.type == GateType::kInput || g.type == GateType::kDff ||
+          g.type == GateType::kConst0 || g.type == GateType::kConst1)
+        continue;
+      std::int32_t a = g.in[0], b = g.in[1];
+      if (netlist::gate_arity(g.type) == 2 && a > b) std::swap(a, b);
+      EXPECT_TRUE(keys.emplace(static_cast<int>(g.type), a, b, g.in[2]).second)
+          << "gate " << id << " duplicates an earlier one";
+    }
+    OptStats again;
+    const Netlist out2 = optimize(out, &again);
+    EXPECT_EQ(again.deduplicated, 0);
+    EXPECT_EQ(out2.num_gates(), out.num_gates());
+  }
+  EXPECT_GT(merged, 250);  // the generator does produce duplicates
+}
 
 TEST(Optimize, SynthesizedComponentShrinks) {
   AccDesign d;
